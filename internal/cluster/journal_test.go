@@ -1,12 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"qurator/internal/evidence"
 	"qurator/internal/mstore"
+	"qurator/internal/ontology"
 	"qurator/internal/provenance"
 	"qurator/internal/stream"
 )
@@ -122,5 +128,77 @@ func TestCommitReplicatesAndPeerReplays(t *testing.T) {
 	if n1.node.Journal().Len() != 2 || n2.node.Journal().Len() != 2 {
 		t.Fatalf("replay grew the journal: n1=%d n2=%d; want 2 each",
 			n1.node.Journal().Len(), n2.node.Journal().Len())
+	}
+}
+
+// TestNonFiniteStatsStreamAndJournal: inline "NaN" and "Inf" evidence
+// parses as a float, so a window over it has no finite statistics for
+// that column. Such a column must be left out of the window's Stats, not
+// reported: JSON cannot carry NaN/±Inf, so it used to fail the journal
+// commit (and, without a journal, the NDJSON summary line). Finite
+// columns of the same window are still reported.
+func TestNonFiniteStatsStreamAndJournal(t *testing.T) {
+	compiled, err := paperCompiler(nil)("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(provenance.NewLog())
+	e, err := stream.New(compiled, stream.Config{Window: 4, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var input strings.Builder
+	for i := 0; i < 4; i++ {
+		inf := "1"
+		if i == 2 {
+			inf = `"-Inf"`
+		}
+		fmt.Fprintf(&input, `{"item":%q,"evidence":{"q:inlineX":"NaN","q:inlineY":%s,"q:inlineZ":%d}}`+"\n",
+			hit(i).Value(), inf, i)
+	}
+	in := make(chan stream.Item)
+	out := make(chan stream.WindowResult)
+	readErr := make(chan error, 1)
+	runErr := make(chan error, 1)
+	go func() { readErr <- stream.ReadItems(strings.NewReader(input.String()), in) }()
+	go func() { runErr <- e.Run(context.Background(), in, out) }()
+	var buf bytes.Buffer
+	if err := stream.WriteResults(&buf, out, nil); err != nil {
+		t.Fatalf("WriteResults: %v", err)
+	}
+	if err := <-readErr; err != nil {
+		t.Fatalf("ReadItems: %v", err)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if j.Len() != 1 {
+		t.Fatalf("journal holds %d emissions, want 1", j.Len())
+	}
+
+	var decisions int
+	var summary struct {
+		Stats map[string]stream.WindowStats `json:"stats"`
+	}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.Contains(line, `"decided"`) {
+			if err := json.Unmarshal([]byte(line), &summary); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			decisions++
+		}
+	}
+	if decisions != 4 {
+		t.Fatalf("got %d decisions, want 4:\n%s", decisions, buf.String())
+	}
+	for _, key := range []string{"q:inlineX", "q:inlineY"} {
+		if _, ok := summary.Stats[ontology.ExpandQName(key).Value()]; ok {
+			t.Errorf("non-finite column %s reported in stats: %v", key, summary.Stats)
+		}
+	}
+	z, ok := summary.Stats[ontology.ExpandQName("q:inlineZ").Value()]
+	if want := evidence.ComputeStats([]float64{0, 1, 2, 3}); !ok || z.N != 4 || z.Mean != want.Mean || z.StdDev != want.StdDev {
+		t.Errorf("finite column stats = %+v (present %v), want %+v", z, ok, want)
 	}
 }

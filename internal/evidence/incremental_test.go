@@ -2,8 +2,6 @@ package evidence
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"testing"
 
 	"qurator/internal/rdf"
@@ -52,46 +50,6 @@ func TestRemoveFirst(t *testing.T) {
 	}
 }
 
-func TestRemoveItem(t *testing.T) {
-	key := rdf.IRI("urn:k")
-	m := NewMap(incItem(0), incItem(1), incItem(2), incItem(3))
-	for i := 0; i < 4; i++ {
-		m.Set(incItem(i), key, Float(float64(i)))
-	}
-	if !m.RemoveItem(incItem(1)) {
-		t.Fatal("RemoveItem(present) = false")
-	}
-	if m.RemoveItem(incItem(1)) {
-		t.Fatal("RemoveItem(absent) = true")
-	}
-	want := []Item{incItem(0), incItem(2), incItem(3)}
-	got := m.Items()
-	if len(got) != len(want) {
-		t.Fatalf("items = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("items[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Index stays consistent: lookups and later appends still work.
-	if m.Has(incItem(1), key) {
-		t.Error("removed item still has evidence")
-	}
-	if v := m.Get(incItem(3), key); !v.Equal(Float(3)) {
-		t.Errorf("Get after removal = %v", v)
-	}
-	m.AddItem(incItem(4))
-	if got := m.Items(); got[len(got)-1] != incItem(4) {
-		t.Errorf("append after removal = %v", got)
-	}
-	// Re-adding a removed item appends it at the end with no stale row.
-	m.AddItem(incItem(1))
-	if m.Has(incItem(1), key) {
-		t.Error("re-added item resurrected old evidence")
-	}
-}
-
 func TestSetRow(t *testing.T) {
 	k1, k2 := rdf.IRI("urn:k1"), rdf.IRI("urn:k2")
 	m := NewMap()
@@ -102,63 +60,4 @@ func TestSetRow(t *testing.T) {
 	if m.Has(incItem(0), k2) {
 		t.Error("SetRow stored a Null value")
 	}
-}
-
-// TestAccumulatorMatchesComputeStats is the incremental/batch agreement
-// law: an Accumulator over any prefix-with-evictions sequence agrees with
-// ComputeStats over the surviving values.
-func TestAccumulatorMatchesComputeStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		var acc Accumulator
-		var live []float64
-		n := 5 + rng.Intn(200)
-		for i := 0; i < n; i++ {
-			// Mix additions with front evictions, as a sliding window does.
-			if len(live) > 0 && rng.Float64() < 0.3 {
-				acc.Remove(live[0])
-				live = live[1:]
-			}
-			v := rng.NormFloat64()*25 + 50
-			acc.Add(v)
-			live = append(live, v)
-
-			want := ComputeStats(live)
-			if acc.N() != want.N {
-				t.Fatalf("trial %d: N = %d, want %d", trial, acc.N(), want.N)
-			}
-			if !approxEq(acc.Mean(), want.Mean) || !approxEq(acc.StdDev(), want.StdDev) {
-				t.Fatalf("trial %d: acc = (%g, %g), want (%g, %g)",
-					trial, acc.Mean(), acc.StdDev(), want.Mean, want.StdDev)
-			}
-			lo, hi := acc.Thresholds()
-			if !approxEq(lo, want.Mean-want.StdDev) || !approxEq(hi, want.Mean+want.StdDev) {
-				t.Fatalf("trial %d: thresholds (%g, %g) disagree with batch", trial, lo, hi)
-			}
-		}
-	}
-}
-
-func TestAccumulatorEmptyAndSingle(t *testing.T) {
-	var acc Accumulator
-	if acc.N() != 0 || acc.Mean() != 0 || acc.StdDev() != 0 {
-		t.Fatal("zero accumulator not empty")
-	}
-	acc.Add(7)
-	if acc.N() != 1 || acc.Mean() != 7 || acc.StdDev() != 0 {
-		t.Fatalf("single value: n=%d mean=%g sd=%g", acc.N(), acc.Mean(), acc.StdDev())
-	}
-	acc.Remove(7)
-	if acc.N() != 0 || acc.Mean() != 0 || acc.StdDev() != 0 {
-		t.Fatal("remove to empty did not reset")
-	}
-	acc.Remove(1) // removing from empty is a no-op
-	if acc.N() != 0 {
-		t.Fatal("remove on empty changed state")
-	}
-}
-
-func approxEq(a, b float64) bool {
-	const tol = 1e-9
-	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }

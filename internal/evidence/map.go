@@ -349,9 +349,15 @@ type Stats struct {
 
 // ColumnStats computes mean and (population) standard deviation of the
 // numeric values under key — the quantities the paper's three-way
-// classifier thresholds on (§5.1: avg ± stddev).
+// classifier thresholds on (§5.1: avg ± stddev). Values are taken in item
+// order, so the result is bit-identical to ComputeStats over the column.
 func (m *Map) ColumnStats(key Key) Stats {
-	_, vals := m.FloatColumn(key)
+	var vals []float64
+	for _, it := range m.order {
+		if f, ok := m.Get(it, key).AsFloat(); ok {
+			vals = append(vals, f)
+		}
+	}
 	return ComputeStats(vals)
 }
 

@@ -61,7 +61,6 @@ type eWindow struct {
 	kind       string
 	start, end time.Time
 	m          *evidence.Map
-	accs       map[evidence.Key]*evidence.Accumulator
 
 	gen        int        // fire generation (0 until first re-fire)
 	lastJob    *windowJob // most recent emitted content
@@ -160,11 +159,7 @@ func (ew *eventWindower) durationAdd(it Item, t time.Time, jobs *[]*windowJob) {
 		}
 		end := start.Add(ew.cfg.WindowDuration)
 		if end.After(ew.wm()) {
-			win := &eWindow{
-				kind: kind, start: start, end: end,
-				m:    evidence.NewMap(),
-				accs: make(map[evidence.Key]*evidence.Accumulator),
-			}
+			win := &eWindow{kind: kind, start: start, end: end, m: evidence.NewMap()}
 			ew.open[start.UnixNano()] = win
 			ew.addToWindow(win, it, t)
 			routed = true
@@ -205,11 +200,7 @@ func (ew *eventWindower) sessionAdd(it Item, t time.Time, jobs *[]*windowJob) {
 		}
 	}
 	if len(overlap) == 0 {
-		win := &eWindow{
-			kind: KindSession, start: t, end: t.Add(ew.cfg.SessionGap),
-			m:    evidence.NewMap(),
-			accs: make(map[evidence.Key]*evidence.Accumulator),
-		}
+		win := &eWindow{kind: KindSession, start: t, end: t.Add(ew.cfg.SessionGap), m: evidence.NewMap()}
 		ew.sessions = append(ew.sessions, win)
 		ew.addToWindow(win, it, t)
 		return
@@ -219,7 +210,7 @@ func (ew *eventWindower) sessionAdd(it Item, t time.Time, jobs *[]*windowJob) {
 }
 
 // mergeSessions collapses overlapping open sessions into the earliest
-// one, re-deriving its accumulators from the merged content.
+// one.
 func (ew *eventWindower) mergeSessions(wins []*eWindow) *eWindow {
 	sortWindows(wins)
 	base := wins[0]
@@ -249,30 +240,14 @@ func (ew *eventWindower) mergeSessions(wins []*eWindow) *eWindow {
 		}
 	}
 	ew.sessions = keep
-	base.accs = rebuildAccsFrom(base.m)
 	return base
 }
 
-// addToWindow inserts or refreshes one item in a window, maintaining the
-// per-window Welford accumulators and (for sessions) the bounds.
+// addToWindow inserts or refreshes one item in a window; a session
+// window also stretches its bounds to cover the item.
 func (ew *eventWindower) addToWindow(win *eWindow, it Item, t time.Time) {
 	fresh := !win.m.HasItem(it.ID)
-	if !fresh {
-		for k, v := range it.Evidence {
-			if v.IsNull() {
-				continue
-			}
-			if old, ok := win.m.Get(it.ID, k).AsFloat(); ok {
-				winAcc(win, k).Remove(old)
-			}
-		}
-	}
 	win.m.SetRow(it.ID, it.Evidence)
-	for k, v := range it.Evidence {
-		if f, ok := v.AsFloat(); ok {
-			winAcc(win, k).Add(f)
-		}
-	}
 	if fresh {
 		ew.refs[it.ID]++
 	}
@@ -304,7 +279,7 @@ func (ew *eventWindower) supersede(fw *eWindow, it Item, t time.Time) *windowJob
 		items:   append([]evidence.Item(nil), fw.m.Items()...),
 		m:       fw.m.Clone(),
 		decide:  append([]evidence.Item(nil), fw.lastDecide...),
-		stats:   snapshotAccs(fw.accs),
+		stats:   windowStats(fw.m, fw.m.Keys(), nil),
 		firedAt: time.Now(),
 		kind:    fw.kind,
 		start:   fw.start,
@@ -375,7 +350,7 @@ func (ew *eventWindower) fire(win *eWindow, partial bool) *windowJob {
 		m:       win.m.Clone(),
 		decide:  decide,
 		partial: partial,
-		stats:   snapshotAccs(win.accs),
+		stats:   windowStats(win.m, win.m.Keys(), nil),
 		firedAt: time.Now(),
 		kind:    win.kind,
 		start:   win.start,
@@ -447,49 +422,4 @@ func sortWindows(wins []*eWindow) {
 		}
 		return wins[i].start.Before(wins[j].start)
 	})
-}
-
-func winAcc(win *eWindow, k evidence.Key) *evidence.Accumulator {
-	a := win.accs[k]
-	if a == nil {
-		a = &evidence.Accumulator{}
-		win.accs[k] = a
-	}
-	return a
-}
-
-// rebuildAccsFrom derives fresh accumulators from a window map.
-func rebuildAccsFrom(m *evidence.Map) map[evidence.Key]*evidence.Accumulator {
-	accs := make(map[evidence.Key]*evidence.Accumulator)
-	for _, id := range m.Items() {
-		for k, v := range m.Row(id) {
-			if f, ok := v.AsFloat(); ok {
-				a := accs[k]
-				if a == nil {
-					a = &evidence.Accumulator{}
-					accs[k] = a
-				}
-				a.Add(f)
-			}
-		}
-	}
-	return accs
-}
-
-// snapshotAccs freezes per-window accumulators into job statistics.
-func snapshotAccs(accs map[evidence.Key]*evidence.Accumulator) map[string]WindowStats {
-	var out map[string]WindowStats
-	for k, acc := range accs {
-		if acc.N() == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]WindowStats, len(accs))
-		}
-		lo, hi := acc.Thresholds()
-		out[k.Value()] = WindowStats{
-			N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi,
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -291,14 +292,18 @@ func TestEventTimeConfigValidation(t *testing.T) {
 // on an in-order feed with event time = index·10ms, tumbling event-time
 // windows of 40ms with a zero out-of-order bound produce the same window
 // sequence — same contents, same seq, same decisions with the same
-// outputs and classes — as count windows of 4 items. (The count window
-// fires on arrival of its 4th item, the event-time window on arrival of
-// the first item past its end; the decided content is identical.)
+// outputs and classes, bit-identical stats — as count windows of 4 items.
+// (The count window fires on arrival of its 4th item, the event-time
+// window on arrival of the first item past its end; the decided content
+// is identical.)
 func TestEventCountEquivalenceInOrder(t *testing.T) {
 	const n = 40
+	score := ontology.Q("inlineScore")
 	var items []stream.Item
 	for i := 0; i < n; i++ {
-		items = append(items, etItem(i, int64(i)*10))
+		it := etItem(i, int64(i)*10)
+		it.Evidence[score] = evidence.Float(float64(i*i%13) / 7)
+		items = append(items, it)
 	}
 	count := enactItems(t, stream.Config{Window: 4}, items)
 	event := enactItems(t, eventCfg(stream.Config{WindowDuration: 40 * time.Millisecond}), items)
@@ -313,6 +318,12 @@ func TestEventCountEquivalenceInOrder(t *testing.T) {
 		}
 		if count[i].Size != event[i].Size {
 			t.Errorf("window %d sizes differ: %d vs %d", i, count[i].Size, event[i].Size)
+		}
+		if _, ok := count[i].Stats[score.Value()]; !ok {
+			t.Errorf("window %d lacks inline stats: %v", i, count[i].Stats)
+		}
+		if !reflect.DeepEqual(count[i].Stats, event[i].Stats) {
+			t.Errorf("window %d stats differ:\ncount: %+v\nevent: %+v", i, count[i].Stats, event[i].Stats)
 		}
 	}
 }

@@ -19,8 +19,14 @@
 // cancelled context unwinds every stage.
 //
 //	in ──► windower ──► jobs ──► worker pool ──► results ──► reorder ──► out
-//	        (live Amap,   (cap P)  (P × enact)     (cap P)    (per-window
-//	         Welford)                                          order)
+//	        (live Amap;   (cap P)  (P × enact;     (cap P)    (per-window
+//	         evidence              tag stats)                  order)
+//	         stats at fire)
+//
+// Every WindowStats entry, at every stage, comes from one helper
+// (windowStats) running evidence.ComputeStats — the §5.1 classifier's own
+// arithmetic — over the window map, so reported thresholds are the ones
+// the classifier used.
 package stream
 
 import (
@@ -159,9 +165,11 @@ type WindowResult struct {
 	// to observe end-to-end window lag at emission time.
 	firedAt time.Time
 	// Stats maps annotation-map key IRIs (QA score tags, plus inline
-	// numeric evidence types) to their window statistics. Tag statistics
-	// are computed from the enacted window; evidence statistics are
-	// maintained incrementally by the windower (Welford add/remove).
+	// numeric evidence types) to their window statistics, computed with
+	// evidence.ComputeStats in window arrival order: evidence statistics
+	// by the windower when the window fires (or re-fires), tag statistics
+	// from the enacted window. Columns with non-finite statistics are
+	// omitted.
 	Stats map[string]WindowStats `json:"stats,omitempty"`
 }
 
@@ -770,7 +778,7 @@ func (e *Enactor) failedResult(sv streamView, j windowJob, err error) WindowResu
 	return res
 }
 
-// copyStats clones the windower's incremental statistics so sibling
+// copyStats clones the windower's inline-evidence statistics so sibling
 // views' tag statistics never land in one shared map.
 func copyStats(stats map[string]WindowStats) map[string]WindowStats {
 	if stats == nil {
@@ -810,28 +818,11 @@ func deriveResult(sv streamView, outputs map[string]*evidence.Map, j windowJob, 
 	if j.kind != "" {
 		res.Start, res.End = j.start.UnixMilli(), j.end.UnixMilli()
 	}
-	// Window score statistics: one Welford pass over the enacted window
-	// per QA tag — O(1) per (item, tag).
-	if cons == nil {
-		return res
-	}
-	for _, tag := range sv.plan.Tags {
-		var acc evidence.Accumulator
-		for _, it := range j.items {
-			if f, ok := cons.Get(it, tag).AsFloat(); ok {
-				acc.Add(f)
-			}
-		}
-		if acc.N() == 0 {
-			continue
-		}
-		if res.Stats == nil {
-			res.Stats = make(map[string]WindowStats)
-		}
-		lo, hi := acc.Thresholds()
-		res.Stats[tag.Value()] = WindowStats{
-			N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi,
-		}
+	// Window score statistics: the QA score tags of the enacted window,
+	// through the same helper (and so the same arithmetic and item order)
+	// the classifier cut with.
+	if cons != nil {
+		res.Stats = windowStats(cons, sv.plan.Tags, res.Stats)
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -384,10 +385,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestInlineEvidenceStats checks the incremental Welford bookkeeping: a
-// stream carrying inline numeric evidence reports per-window statistics
-// matching an exact recomputation, across window boundaries (add and
-// remove paths both exercised).
+// TestInlineEvidenceStats: a stream carrying inline numeric evidence
+// reports per-window statistics bit-identical to ColumnStats over the
+// exact window contents, across sliding window boundaries.
 func TestInlineEvidenceStats(t *testing.T) {
 	e, err := stream.New(compilePaperView(t), stream.Config{Window: 3, Slide: 1})
 	if err != nil {
@@ -431,12 +431,10 @@ func TestInlineEvidenceStats(t *testing.T) {
 			m.AddItem(hit(i))
 			m.Set(hit(i), key, evidence.Float(vals[i]))
 		}
-		want := m.ColumnStats(key)
-		if s.N != 3 || !approx(s.Mean, want.Mean) || !approx(s.StdDev, want.StdDev) {
-			t.Errorf("window %d stats = %+v, want mean %g stddev %g", r.Seq, s, want.Mean, want.StdDev)
-		}
-		if !approx(s.Lo, want.Mean-want.StdDev) || !approx(s.Hi, want.Mean+want.StdDev) {
-			t.Errorf("window %d thresholds = [%g, %g]", r.Seq, s.Lo, s.Hi)
+		st := m.ColumnStats(key)
+		want := stream.WindowStats{N: 3, Mean: st.Mean, StdDev: st.StdDev, Lo: st.Mean - st.StdDev, Hi: st.Mean + st.StdDev}
+		if s != want {
+			t.Errorf("window %d stats = %+v, want %+v", r.Seq, s, want)
 		}
 		checked++
 	}
@@ -445,9 +443,31 @@ func TestInlineEvidenceStats(t *testing.T) {
 	}
 }
 
-func approx(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
+// TestCountRefireReproducesStats: re-sending an already-decided item
+// with identical evidence re-fires its count window as a superseding
+// emission over unchanged content, so its statistics must be
+// bit-identical to the original emission's — evidence and QA tags alike.
+func TestCountRefireReproducesStats(t *testing.T) {
+	key := ontology.Q("inlineScore")
+	vals := []float64{0.1, 0.7, 0.2, 0.9, 0.35, 0.61, 0.05, 0.83}
+	var items []stream.Item
+	for i, v := range vals {
+		items = append(items, stream.Item{
+			ID:       hit(i),
+			Evidence: map[evidence.Key]evidence.Value{key: evidence.Float(v)},
+		})
+	}
+	items = append(items, items[3])
+	results := enactItems(t, stream.Config{Window: len(vals)}, items)
+	if len(results) != 2 || results[0].Late || !results[1].Late {
+		t.Fatalf("got %d results, want an original emission and one superseding re-fire", len(results))
+	}
+	if _, ok := results[0].Stats[key.Value()]; !ok {
+		t.Fatalf("original emission lacks inline stats: %v", results[0].Stats)
+	}
+	if !reflect.DeepEqual(results[0].Stats, results[1].Stats) {
+		t.Errorf("re-fire stats differ from the original's:\noriginal: %+v\nre-fire:  %+v", results[0].Stats, results[1].Stats)
+	}
 }
 
 // TestBackpressure: with a bounded pipeline and a consumer that refuses to

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"time"
 
 	"qurator/internal/evidence"
@@ -18,23 +19,14 @@ type windowPolicy interface {
 	flush() []*windowJob
 }
 
-// accRebuildEvery is how many fires a count windower lets pass before
-// rebuilding its incremental Welford accumulators from the live window.
-// Add/Remove cycles accumulate floating-point error without bound on a
-// long-lived sliding window; a periodic rebuild (plus an immediate one
-// whenever a downdate detects drift, see Accumulator.Tainted) keeps the
-// error bounded by one window's worth of arithmetic instead of the
-// stream's.
-const accRebuildEvery = 256
-
 // defaultLateRetention is how many fired windows a count windower keeps
 // around to route re-arrivals of already-decided items as late data.
 const defaultLateRetention = 4
 
 // windower implements the count-based windowing policy. It maintains the
-// live window as an annotation map (so inline evidence rides along at no
-// extra cost) plus one incremental Welford accumulator per numeric inline
-// evidence key — O(1) work per arriving or evicted item and value.
+// live window as an annotation map, so inline evidence rides along at no
+// extra cost; each fire computes the window's statistics from that map
+// with windowStats.
 //
 // Decide-once semantics: every item is decided by exactly one window —
 // the first complete window containing it. The first fire decides all
@@ -58,9 +50,6 @@ type windower struct {
 	live      *evidence.Map
 	undecided int // trailing items not yet decided by any fire
 	seq       int
-	fires     int
-
-	accs map[evidence.Key]*evidence.Accumulator
 
 	latePolicy LatePolicy
 	retention  int
@@ -92,7 +81,6 @@ func newWindower(cfg Config, view string) *windower {
 		slide:      slide,
 		view:       view,
 		live:       evidence.NewMap(),
-		accs:       make(map[evidence.Key]*evidence.Accumulator),
 		latePolicy: cfg.LatePolicy,
 		retention:  retention,
 		decidedBy:  make(map[evidence.Item]*firedWindow),
@@ -109,23 +97,8 @@ func (w *windower) push(it Item) ([]*windowJob, error) {
 		if fw := w.decidedBy[it.ID]; fw != nil {
 			return w.lateArrival(fw, it), nil
 		}
-	} else {
-		// Retract the stale numeric contributions before the row update.
-		for k, v := range it.Evidence {
-			if v.IsNull() {
-				continue // SetRow won't overwrite with a Null
-			}
-			if old, ok := w.live.Get(it.ID, k).AsFloat(); ok {
-				w.acc(k).Remove(old)
-			}
-		}
 	}
 	w.live.SetRow(it.ID, it.Evidence)
-	for k, v := range it.Evidence {
-		if f, ok := v.AsFloat(); ok {
-			w.acc(k).Add(f)
-		}
-	}
 	if fresh {
 		w.undecided++
 	}
@@ -160,7 +133,7 @@ func (w *windower) lateArrival(fw *firedWindow, it Item) []*windowJob {
 		items:   fw.items,
 		m:       fw.m.Clone(),
 		decide:  fw.decided,
-		stats:   recomputeStats(fw.m),
+		stats:   windowStats(fw.m, fw.m.Keys(), nil),
 		firedAt: time.Now(),
 		late:    true,
 		gen:     fw.gen,
@@ -180,7 +153,7 @@ func (w *windower) fire(partial bool) *windowJob {
 		m:          w.live.Clone(),
 		decideFrom: len(items) - w.undecided,
 		partial:    partial,
-		stats:      w.snapshotStats(),
+		stats:      windowStats(w.live, w.live.Keys(), nil),
 		firedAt:    time.Now(),
 	}
 	w.seq++
@@ -194,30 +167,7 @@ func (w *windower) fire(partial bool) *windowJob {
 	if partial || evict > w.live.Len() {
 		evict = w.live.Len()
 	}
-	// items is already an arrival-ordered copy of the window, so downdate
-	// the accumulators from its prefix (the old loop called Items() — a
-	// full copy — once per evicted item) and drop the prefix in a single
-	// ordered eviction, keeping a fire O(window) instead of O(window²).
-	for _, old := range items[:evict] {
-		for k, acc := range w.accs {
-			if f, ok := w.live.Get(old, k).AsFloat(); ok {
-				acc.Remove(f)
-			}
-		}
-	}
 	w.live.RemoveFirst(evict)
-	// Evidence keys that stopped appearing would otherwise pin their
-	// accumulators forever — a key-churn stream (every item a new key)
-	// grew this map without bound.
-	for k, acc := range w.accs {
-		if acc.N() == 0 {
-			delete(w.accs, k)
-		}
-	}
-	w.fires++
-	if w.fires%accRebuildEvery == 0 || w.anyTainted() {
-		w.rebuildAccs()
-	}
 	return j
 }
 
@@ -256,71 +206,30 @@ func detach(j *windowJob) *windowJob {
 	return &c
 }
 
-func (w *windower) acc(k evidence.Key) *evidence.Accumulator {
-	a := w.accs[k]
-	if a == nil {
-		a = &evidence.Accumulator{}
-		w.accs[k] = a
-	}
-	return a
-}
-
-func (w *windower) anyTainted() bool {
-	for _, acc := range w.accs {
-		if acc.Tainted() {
-			return true
-		}
-	}
-	return false
-}
-
-// rebuildAccs re-derives every accumulator from the live window, resetting
-// the floating-point drift that unbounded Add/Remove cycles accumulate.
-func (w *windower) rebuildAccs() {
-	w.accs = make(map[evidence.Key]*evidence.Accumulator, len(w.accs))
-	for _, it := range w.live.Items() {
-		for k, v := range w.live.Row(it) {
-			if f, ok := v.AsFloat(); ok {
-				w.acc(k).Add(f)
-			}
-		}
-	}
-}
-
-// snapshotStats freezes the inline-evidence accumulators into the job.
-func (w *windower) snapshotStats() map[string]WindowStats {
-	var out map[string]WindowStats
-	for k, acc := range w.accs {
-		if acc.N() == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]WindowStats, len(w.accs))
-		}
-		lo, hi := acc.Thresholds()
-		out[k.Value()] = WindowStats{
-			N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), Lo: lo, Hi: hi,
-		}
-	}
-	return out
-}
-
-// recomputeStats derives window statistics by a full scan of the window
-// map — the re-fire path, where no incremental accumulators are live.
-func recomputeStats(m *evidence.Map) map[string]WindowStats {
-	var out map[string]WindowStats
-	for _, k := range m.Keys() {
+// windowStats adds one WindowStats entry per numeric column of m named
+// in keys to stats (allocated on first use) and returns it. It is the one
+// statistics path of the stream: windowers call it on the window map when
+// they fire or re-fire, and deriveResult calls it for the QA score tags
+// of the enacted window. Each entry is evidence.ComputeStats over the
+// column in m's item order — the arithmetic the §5.1 classifier cuts
+// with — so the reported thresholds are exactly the ones in force, and
+// the same content always yields bit-identical stats. A column with no
+// numeric value, or with a non-finite mean, stddev or cut point (inline
+// "NaN" or ±Inf evidence), is omitted: it has no usable thresholds, and
+// JSON cannot carry it.
+func windowStats(m *evidence.Map, keys []evidence.Key, stats map[string]WindowStats) map[string]WindowStats {
+	for _, k := range keys {
 		st := m.ColumnStats(k)
-		if st.N == 0 {
+		lo, hi := st.Mean-st.StdDev, st.Mean+st.StdDev
+		if st.N == 0 || !finite(lo) || !finite(hi) {
 			continue
 		}
-		if out == nil {
-			out = make(map[string]WindowStats)
+		if stats == nil {
+			stats = make(map[string]WindowStats)
 		}
-		out[k.Value()] = WindowStats{
-			N: st.N, Mean: st.Mean, StdDev: st.StdDev,
-			Lo: st.Mean - st.StdDev, Hi: st.Mean + st.StdDev,
-		}
+		stats[k.Value()] = WindowStats{N: st.N, Mean: st.Mean, StdDev: st.StdDev, Lo: lo, Hi: hi}
 	}
-	return out
+	return stats
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

@@ -50,18 +50,20 @@ func BenchmarkWindowEviction(b *testing.B) {
 
 // TestFireEvictsOldestSlide pins the eviction semantics the benchmark
 // relies on: after a sliding fire, the oldest Slide items are gone and
-// the accumulator reflects only the survivors.
+// the next fire's statistics cover only the survivors plus new arrivals.
 func TestFireEvictsOldestSlide(t *testing.T) {
 	key := evidence.Key(rdf.IRI("urn:q:HitRatio"))
 	w := newWindower(Config{Window: 4, Slide: 2}, "test")
 	var jobs []*windowJob
-	for i := 0; i < 6; i++ {
-		it := Item{
+	push := func(i int) {
+		js, _ := w.push(Item{
 			ID:       evidence.Item(rdf.IRI(fmt.Sprintf("urn:item:%d", i))),
 			Evidence: map[evidence.Key]evidence.Value{key: evidence.Float(float64(i))},
-		}
-		js, _ := w.push(it)
+		})
 		jobs = append(jobs, js...)
+	}
+	for i := 0; i < 6; i++ {
+		push(i)
 	}
 	if len(jobs) != 2 {
 		t.Fatalf("fires = %d, want 2", len(jobs))
@@ -76,11 +78,16 @@ func TestFireEvictsOldestSlide(t *testing.T) {
 			t.Errorf("item %d should have been evicted", gone)
 		}
 	}
-	acc := w.accs[key]
-	if acc.N() != 2 {
-		t.Fatalf("accumulator N = %d, want 2 (survivors only)", acc.N())
+	// The third fire holds the survivors 4, 5 and the arrivals 6, 7: its
+	// statistics are exactly ComputeStats over those values, in order.
+	push(6)
+	push(7)
+	if len(jobs) != 3 {
+		t.Fatalf("fires = %d, want 3", len(jobs))
 	}
-	if got, want := acc.Mean(), (4.0+5.0)/2; got != want {
-		t.Errorf("accumulator mean = %v, want %v", got, want)
+	want := evidence.ComputeStats([]float64{4, 5, 6, 7})
+	got := jobs[2].stats[key.Value()]
+	if got != (WindowStats{N: 4, Mean: want.Mean, StdDev: want.StdDev, Lo: want.Mean - want.StdDev, Hi: want.Mean + want.StdDev}) {
+		t.Errorf("third fire stats = %+v, want %+v over the survivors and arrivals", got, want)
 	}
 }
