@@ -188,16 +188,6 @@ func (r *Repository) applyLocked(dels, adds []rdf.Triple) error {
 	return err
 }
 
-// PutAll stores a batch of annotations, stopping at the first error.
-func (r *Repository) PutAll(as []Annotation) error {
-	for _, a := range as {
-		if err := r.Put(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Get retrieves the annotation value for (item, type); the boolean
 // reports presence.
 func (r *Repository) Get(item evidence.Item, typ rdf.Term) (evidence.Value, bool) {

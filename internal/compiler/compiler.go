@@ -514,26 +514,35 @@ func (c *Compiled) Execute(ctx context.Context, in workflow.Ports) (workflow.Por
 		c.applyDegradedRouting(out, log, degraded)
 	}
 	span.End()
-	if c.Provenance != nil {
-		rec := provenance.Record{
-			View:       c.Workflow.Name(),
-			Started:    started,
-			Duration:   time.Since(started),
-			Outputs:    map[string]int{},
-			Conditions: c.Conditions(),
-			TraceID:    span.TraceID,
-		}
-		if m, ok := in[PortDataSet].(*evidence.Map); ok {
-			rec.InputSize = m.Len()
-		}
-		for name, v := range out {
-			if m, ok := v.(*evidence.Map); ok {
-				rec.Outputs[name] = m.Len()
-			}
-		}
-		c.Provenance.Record(rec)
-	}
+	inMap, _ := in[PortDataSet].(*evidence.Map)
+	c.recordRun(started, span.TraceID, inMap, out)
 	return out, nil
+}
+
+// recordRun logs one enactment of the view — view name, conditions in
+// force, input/output sizes, timing and trace — when a provenance log is
+// attached. Standalone, embedded and merged enactments all record here.
+func (c *Compiled) recordRun(started time.Time, traceID string, in *evidence.Map, out workflow.Ports) {
+	if c.Provenance == nil {
+		return
+	}
+	rec := provenance.Record{
+		View:       c.Workflow.Name(),
+		Started:    started,
+		Duration:   time.Since(started),
+		Outputs:    make(map[string]int, len(out)),
+		Conditions: c.Conditions(),
+		TraceID:    traceID,
+	}
+	if in != nil {
+		rec.InputSize = in.Len()
+	}
+	for name, v := range out {
+		if m, ok := v.(*evidence.Map); ok {
+			rec.Outputs[name] = m.Len()
+		}
+	}
+	c.Provenance.Record(rec)
 }
 
 // FilterOutput returns the canonical output name of a filter action.

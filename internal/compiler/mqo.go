@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"qurator/internal/evidence"
-	"qurator/internal/provenance"
 	"qurator/internal/qcache"
 	"qurator/internal/rdf"
 	"qurator/internal/telemetry"
@@ -132,6 +131,9 @@ type memberView struct {
 	view   *Compiled
 	prefix string            // output namespace: "<view name>/"
 	procs  map[string]string // merged quality-proc name → this view's own name
+	// sharedCons is set when a sibling member reads the same consolidated
+	// map, so degraded routing must write into a private copy.
+	sharedCons bool
 }
 
 // MultiView is N compiled views merged into one enactable plan: shared
@@ -186,14 +188,17 @@ func (b *mergeBuilder) control(c workflow.ControlLink) {
 
 // MergeViews builds a MultiView over the given compiled views. View names
 // must be unique — they namespace the merged outputs ("<view>/<output>").
+// A one-member plan takes its view's name, so enacting it is
+// indistinguishable from enacting the view alone: same telemetry labels,
+// span and provenance; larger plans are named "mqo:<n>@<digest>".
 //
 // Merged enactment runs every annotator once regardless of how many views
 // declare it; that is equivalent to independent enactment because
 // repository puts are set-semantic. What is NOT equivalent is an
 // annotator write racing another view's enrichment read of the same
 // (repository, evidence) cell, so MergeViews refuses view sets where
-// different annotators provide the same cell, or where a view reads a
-// cell that only another view's annotator writes.
+// different annotators of different views provide the same cell, or where
+// a view reads a cell that only another view's annotator writes.
 func MergeViews(views ...*Compiled) (*MultiView, error) {
 	if len(views) == 0 {
 		return nil, fmt.Errorf("compiler: MergeViews needs at least one view")
@@ -216,12 +221,15 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 		return nil, err
 	}
 
-	mv := &MultiView{
-		name: fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10]),
+	mv := &MultiView{name: views[0].Workflow.Name()}
+	if len(views) > 1 {
+		mv.name = fmt.Sprintf("mqo:%d@%s", len(views), nameKey.Sum()[:10])
 	}
 	b := &mergeBuilder{wf: workflow.New(mv.name)}
-	shared := map[string]string{} // subgraph fingerprint → merged proc name
-	usedBy := map[string]int{}    // merged quality-proc name → #views
+	shared := map[string]string{}        // subgraph fingerprint → merged proc name
+	usedBy := map[string]int{}           // merged quality-proc name → #views
+	consOf := make([]string, len(views)) // member → merged consolidation name
+	consUsers := map[string]int{}        // merged consolidation name → #views
 	for i, v := range views {
 		fp := prints[i]
 		member := &memberView{
@@ -300,6 +308,8 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 			}
 			shared[fp.cons] = cm
 		}
+		consOf[i] = cm
+		consUsers[cm]++
 		b.bindOutput(member.prefix+OutputAnnotations, cm, PortAnnotations)
 
 		// Actions are never shared: their conditions are per-view and
@@ -327,13 +337,18 @@ func MergeViews(views ...*Compiled) (*MultiView, error) {
 		return nil, fmt.Errorf("compiler: merged plan invalid: %w", err)
 	}
 	mv.wf = b.wf
+	for i, m := range mv.members {
+		m.sharedCons = consUsers[consOf[i]] > 1
+	}
 	for _, n := range usedBy {
 		mv.mergedQuality++
 		if n >= 2 {
 			mv.sharedPrefixes++
 		}
 	}
-	mqoSharedPrefixes.With(mv.name).Set(float64(mv.sharedPrefixes))
+	if len(views) > 1 { // a one-member plan reports no MQO series, like the view alone
+		mqoSharedPrefixes.With(mv.name).Set(float64(mv.sharedPrefixes))
+	}
 	return mv, nil
 }
 
@@ -346,18 +361,24 @@ func checkAnnotatorConflicts(views []*Compiled, prints []viewPrints) error {
 	cell := func(repo string, ev rdf.Term) string {
 		return repo + "|" + ev.String()
 	}
-	providers := map[string]provider{}
+	// Only providers from different views conflict: a view's own
+	// enrichment waits for all of its annotators, in the merged plan as
+	// alone, but not for a sibling view's distinct writer.
+	providers := map[string][]provider{}
 	for i, v := range views {
+		vname := v.Workflow.Name()
 		for j, ann := range v.Resolved.Annotators {
 			fp := prints[i].anns[j]
 			for _, pv := range ann.Provides {
 				c := cell(pv.Repository, pv.Evidence)
-				if prev, ok := providers[c]; ok && prev.fp != fp {
-					return fmt.Errorf(
-						"compiler: cannot merge: annotators %q (view %q) and %q (view %q) both provide evidence %v in repository %q",
-						prev.svc, prev.view, ann.Decl.ServiceName, v.Workflow.Name(), pv.Evidence, pv.Repository)
+				for _, prev := range providers[c] {
+					if prev.view != vname && prev.fp != fp {
+						return fmt.Errorf(
+							"compiler: cannot merge: annotators %q (view %q) and %q (view %q) both provide evidence %v in repository %q",
+							prev.svc, prev.view, ann.Decl.ServiceName, vname, pv.Evidence, pv.Repository)
+					}
 				}
-				providers[c] = provider{view: v.Workflow.Name(), svc: ann.Decl.ServiceName, fp: fp}
+				providers[c] = append(providers[c], provider{view: vname, svc: ann.Decl.ServiceName, fp: fp})
 			}
 		}
 	}
@@ -370,17 +391,18 @@ func checkAnnotatorConflicts(views []*Compiled, prints []viewPrints) error {
 		}
 		for ev, repo := range v.Resolved.EvidenceRepo {
 			c := cell(repo, ev)
-			if p, ok := providers[c]; ok && !own[c] {
+			if ps := providers[c]; len(ps) > 0 && !own[c] {
 				return fmt.Errorf(
 					"compiler: cannot merge: view %q reads evidence %v from repository %q, which annotator %q (view %q) writes — merged ordering would differ from independent enactment",
-					v.Workflow.Name(), ev, repo, p.svc, p.view)
+					v.Workflow.Name(), ev, repo, ps[0].svc, ps[0].view)
 			}
 		}
 	}
 	return nil
 }
 
-// Name returns the merged plan's name ("mqo:<n>@<digest>").
+// Name returns the merged plan's name: the view's own name for a
+// one-member plan, "mqo:<n>@<digest>" otherwise.
 func (mv *MultiView) Name() string { return mv.name }
 
 // Views returns the member views in merge order.
@@ -441,7 +463,9 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 		return nil, err
 	}
 	span.End()
-	mqoSavedInvocations.With(mv.name).Add(uint64(mv.SavedPerEnactment()))
+	if len(mv.members) > 1 {
+		mqoSavedInvocations.With(mv.name).Add(uint64(mv.SavedPerEnactment()))
+	}
 
 	failures := log.Failures()
 	results := make(map[string]ViewResult, len(mv.members))
@@ -472,10 +496,13 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 		for _, name := range v.Outputs {
 			vout[name] = out[member.prefix+name]
 		}
-		// Each view gets its own copy of the (possibly shared)
-		// consolidated map: degraded routing writes markers into it.
+		// Degraded routing writes markers into the consolidated map, so a
+		// view whose consolidation a sibling also reads gets its own copy.
 		if ann, ok := out[member.prefix+OutputAnnotations].(*evidence.Map); ok {
-			vout[OutputAnnotations] = ann.Clone()
+			if member.sharedCons {
+				ann = ann.Clone()
+			}
+			vout[OutputAnnotations] = ann
 		}
 		if mode != DegradeOff {
 			vlog := NewFailureLog()
@@ -494,22 +521,7 @@ func (mv *MultiView) EnactMap(ctx context.Context, in *evidence.Map) (map[string
 			res.Outputs[name] = m
 		}
 		results[vname] = res
-
-		if v.Provenance != nil {
-			rec := provenance.Record{
-				View:       vname,
-				Started:    started,
-				Duration:   time.Since(started),
-				InputSize:  in.Len(),
-				Outputs:    map[string]int{},
-				Conditions: v.Conditions(),
-				TraceID:    span.TraceID,
-			}
-			for name, m := range res.Outputs {
-				rec.Outputs[name] = m.Len()
-			}
-			v.Provenance.Record(rec)
-		}
+		v.recordRun(started, span.TraceID, in, vout)
 	}
 	return results, nil
 }

@@ -33,15 +33,6 @@ func New(authority, namespace, object string) (LSID, error) {
 	return l, nil
 }
 
-// MustNew is New that panics on invalid input; for statically-known LSIDs.
-func MustNew(authority, namespace, object string) LSID {
-	l, err := New(authority, namespace, object)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Parse parses an LSID URN string.
 func Parse(s string) (LSID, error) {
 	lower := strings.ToLower(s)

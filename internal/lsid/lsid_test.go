@@ -91,7 +91,10 @@ func TestWrapUnwrap(t *testing.T) {
 }
 
 func TestWithRevision(t *testing.T) {
-	l := MustNew("a.org", "ns", "obj")
+	l, err := New("a.org", "ns", "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := l.WithRevision("v3")
 	if r.Revision != "v3" || l.Revision != "" {
 		t.Errorf("WithRevision mutated receiver or failed: %+v / %+v", l, r)

@@ -51,13 +51,6 @@ type ItemWise interface {
 	ItemWise() bool
 }
 
-// IsItemWise reports whether v declares itself item-wise via the ItemWise
-// interface; absent a declaration it returns false (collection scope).
-func IsItemWise(v any) bool {
-	iw, ok := v.(ItemWise)
-	return ok && iw.ItemWise()
-}
-
 // Annotator is the Annotation operator type: it computes a new association
 // map of evidence values for its declared evidence types and stores it in
 // a repository. Annotators are user-defined, domain- AND data-specific

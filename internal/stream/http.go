@@ -167,9 +167,9 @@ func Handler(compile CompileFunc, opts ...HandlerOption) http.Handler {
 	})
 }
 
-// newEnactor builds the request's enactor: a plain single-view stream,
-// or — for ?views=a,b,c — a merged multi-view stream whose shared
-// prefixes enact once per window. The first view's <streaming>
+// newEnactor builds the request's enactor over the merged plan of the
+// requested views — one member for ?view=, several for ?views=a,b,c,
+// whose shared prefixes enact once per window. The first view's <streaming>
 // declaration supplies windowing defaults the query left unset, and the
 // host's drift options are armed per request.
 func newEnactor(compile CompileFunc, views []string, cfg Config, explicit map[string]bool, ho *handlerOptions) (*Enactor, error) {
@@ -190,9 +190,6 @@ func newEnactor(compile CompileFunc, views []string, cfg Config, explicit map[st
 			d.OnAlert = AutoTighten(compiledSet[0], ho.tightenAction, ho.tightenCond)
 		}
 		cfg.Drift = &d
-	}
-	if len(views) == 1 {
-		return New(compiledSet[0], cfg)
 	}
 	mv, err := compiler.MergeViews(compiledSet...)
 	if err != nil {

@@ -12,11 +12,14 @@ import (
 	"testing"
 
 	"qurator/internal/annotstore"
+	"qurator/internal/binding"
 	"qurator/internal/compiler"
 	"qurator/internal/evidence"
 	"qurator/internal/ontology"
 	"qurator/internal/ops"
 	"qurator/internal/qvlang"
+	"qurator/internal/rdf"
+	"qurator/internal/services"
 	"qurator/internal/stream"
 )
 
@@ -197,8 +200,9 @@ func (j *mapJournal) Commit(key string, res stream.WindowResult) error {
 // TestMultiViewJournalKeysArePerView: a merged stream journals every
 // member view under the SAME key an independent single-view stream would
 // use. So (1) windows one view already emitted before the merge replay
-// while the other members commit fresh, and (2) a later merged run
-// replays everything without re-enacting.
+// while the other members commit fresh, (2) a later merged run replays
+// everything without re-enacting, and (3) a single-view stream replays a
+// view's merged emissions unattributed, with the merged decisions.
 func TestMultiViewJournalKeysArePerView(t *testing.T) {
 	xmlA, xmlC := namedPaperView("stream-A", "20"), reducedViewXML("stream-C")
 	const n = 8
@@ -222,12 +226,14 @@ func TestMultiViewJournalKeysArePerView(t *testing.T) {
 		t.Fatal(err)
 	}
 	var aFresh, cReplayed int
+	aMerged := make(map[int][]stream.Decision)
 	for _, r := range runEnactor(t, me, cfg, n) {
 		switch r.View {
 		case "stream-A":
 			if r.Replayed {
 				t.Errorf("window %d of A replayed with an empty journal for A", r.Seq)
 			}
+			aMerged[r.Seq] = r.Decisions
 			aFresh++
 		case "stream-C":
 			if !r.Replayed {
@@ -259,6 +265,31 @@ func TestMultiViewJournalKeysArePerView(t *testing.T) {
 		if !r.Replayed {
 			t.Errorf("window %d of %s not replayed on the second merged run", r.Seq, r.View)
 		}
+	}
+
+	// A single-view stream of A over the same journal: every window
+	// replays A's merged emission, unattributed like any single-view
+	// result.
+	ae, err := stream.New(compileViewXML(t, xmlA, identityAnnotator()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aResults := runEnactor(t, ae, cfg, n)
+	if len(aResults) != len(aMerged) {
+		t.Fatalf("single-view A run emitted %d windows, want %d", len(aResults), len(aMerged))
+	}
+	for _, r := range aResults {
+		if !r.Replayed || r.View != "" {
+			t.Errorf("window %d of single-view A: replayed=%v view=%q, want replayed and unattributed", r.Seq, r.Replayed, r.View)
+		}
+		w, _ := json.Marshal(aMerged[r.Seq])
+		g, _ := json.Marshal(r.Decisions)
+		if string(w) != string(g) {
+			t.Errorf("window %d of single-view A: replayed decisions differ from the merged run's", r.Seq)
+		}
+	}
+	if len(j.m) != 4 {
+		t.Fatalf("journal holds %d entries after the single-view replay, want 4", len(j.m))
 	}
 }
 
@@ -377,5 +408,127 @@ func TestHandlerMergedViews(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q: status = %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestSingleViewUnattributed pins the single-view wire format: a fresh
+// single-view stream — a one-member merged plan underneath — emits
+// results with an empty View, so neither the result JSON nor the NDJSON
+// window summaries carry a "view" field.
+func TestSingleViewUnattributed(t *testing.T) {
+	cfg := stream.Config{Window: 4}
+	e, err := stream.New(compileViewXML(t, namedPaperView("stream-A", "20"), identityAnnotator()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := runEnactor(t, e, cfg, 8)
+	if len(results) != 2 {
+		t.Fatalf("got %d windows, want 2", len(results))
+	}
+	ch := make(chan stream.WindowResult, len(results))
+	for _, r := range results {
+		if r.View != "" || r.Replayed || r.Failed || len(r.Decisions) != 4 {
+			t.Errorf("window %d = view %q replayed=%v failed=%v decided=%d, want a fresh unattributed window of 4",
+				r.Seq, r.View, r.Replayed, r.Failed, len(r.Decisions))
+		}
+		if b, _ := json.Marshal(r); strings.Contains(string(b), `"view"`) {
+			t.Errorf("window %d JSON carries a view field: %s", r.Seq, b)
+		}
+		ch <- r
+	}
+	close(ch)
+	var buf strings.Builder
+	if err := stream.WriteResults(&buf, ch, nil); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"view"`) {
+		t.Errorf("NDJSON output carries a view field:\n%s", buf.String())
+	}
+}
+
+// hitRatioViewXML declares one annotator per {servicename, servicetype}
+// pair, each providing q:HitRatio in the cache repository, and a QA
+// reading that cell.
+func hitRatioViewXML(name string, annotators ...[2]string) string {
+	var anns strings.Builder
+	for _, a := range annotators {
+		fmt.Fprintf(&anns, `
+  <Annotator servicename=%q servicetype=%q>
+    <variables repositoryRef="cache" persistent="false">
+      <var evidence="q:HitRatio"/>
+    </variables>
+  </Annotator>`, a[0], a[1])
+	}
+	return fmt.Sprintf(`<QualityView name=%q>%s
+  <QualityAssertion servicename="HR score"
+                    servicetype="q:HRScoreAssertion"
+                    tagname="HR"
+                    tagsyntype="q:score">
+    <variables repositoryRef="cache">
+      <var variablename="hr" evidence="q:HitRatio"/>
+    </variables>
+  </QualityAssertion>
+  <action name="keep scored">
+    <filter>
+      <condition>HR &gt; 10</condition>
+    </filter>
+  </action>
+</QualityView>`, name, anns.String())
+}
+
+// evidenceCodeView compiles a view whose stack also deploys a no-op
+// q:EvidenceCodeAnnotation annotator.
+func evidenceCodeView(t *testing.T, xml string) *compiler.Compiled {
+	t.Helper()
+	stack := compileStack(t, identityAnnotator())
+	stack.Resolver.Local.Add(&services.AnnotatorService{
+		ServiceName:  "EvidenceCodeAnnotator",
+		Annotator:    ops.AnnotatorFunc{ClassIRI: ontology.EvidenceCodeAnnotation, Types: []rdf.Term{ontology.HitRatio}},
+		Repositories: stack.Repositories,
+	})
+	stack.Bindings.MustBind(binding.Binding{Concept: ontology.EvidenceCodeAnnotation, Kind: binding.ServiceResource, Locator: "local:EvidenceCodeAnnotator"})
+	v, err := qvlang.Parse([]byte(xml))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := qvlang.Resolve(v, ontology.NewIQModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := stack.Compile(r)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return c
+}
+
+// TestOneViewSharedCellMerges: the merge conflict rule ("two annotators
+// provide the same cell") applies across views only. A view's own
+// enrichment waits for all of its annotators, so one view with two
+// annotators writing one cell merges on its own and streams; two views
+// whose distinct annotators write one cell are still refused.
+func TestOneViewSharedCellMerges(t *testing.T) {
+	imprint := [2]string{"ImprintOutputAnnotator", "q:ImprintOutputAnnotation"}
+	code := [2]string{"EvidenceCodeAnnotator", "q:EvidenceCodeAnnotation"}
+	c := evidenceCodeView(t, hitRatioViewXML("dup", imprint, code))
+	if _, err := compiler.MergeViews(c); err != nil {
+		t.Fatalf("MergeViews of one view: %v", err)
+	}
+	cfg := stream.Config{Window: 4}
+	e, err := stream.New(c, cfg)
+	if err != nil {
+		t.Fatalf("stream.New: %v", err)
+	}
+	for _, r := range runEnactor(t, e, cfg, 8) {
+		if r.Failed || len(r.Decisions) != 4 {
+			t.Errorf("window %d: failed=%v decided=%d, want 4 decisions", r.Seq, r.Failed, len(r.Decisions))
+		}
+	}
+
+	_, err = compiler.MergeViews(
+		evidenceCodeView(t, hitRatioViewXML("imprint-only", imprint)),
+		evidenceCodeView(t, hitRatioViewXML("code-only", code)))
+	if err == nil || !strings.Contains(err.Error(), "cannot merge") {
+		t.Errorf("views whose distinct annotators write one cell: err = %v, want a merge refusal", err)
 	}
 }

@@ -4,9 +4,10 @@
 // §5.1 avg±stddev classifier) assume the whole run is in hand. This
 // package lifts that restriction: items arrive one at a time, a
 // count-based windowing policy groups them into finite windows, each
-// window is enacted through the unmodified compiled workflow by a worker
-// pool, and per-item accept/reject/class decisions are emitted as soon as
-// their window resolves — while the input is still open.
+// window is enacted through the views' merged plan (compiler.MultiView; a
+// single view is a one-member plan) by a worker pool, and per-item
+// accept/reject/class decisions are emitted as soon as their window
+// resolves — while the input is still open.
 //
 // The semantics is the windowed closure of batch enactment, with one law
 // tying the two together: enacting a stream through a single window equal
@@ -32,6 +33,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 	"time"
@@ -40,7 +42,6 @@ import (
 	"qurator/internal/evidence"
 	"qurator/internal/qcache"
 	"qurator/internal/telemetry"
-	"qurator/internal/workflow"
 )
 
 // Streaming metrics, labelled by view (workflow) name. Lag is measured
@@ -280,15 +281,15 @@ type WindowJournal interface {
 
 // Enactor runs one or more compiled quality views over unbounded item
 // sequences. One Enactor serves one stream at a time; the compiled views
-// it wraps may be shared with batch enactments when idle. A multi-view
-// enactor (NewMulti) feeds every window through the merged plan once —
-// shared annotator/enrichment/QA prefixes run once per window — and
-// emits one WindowResult per member view per window.
+// it wraps may be shared with batch enactments when idle. Every window is
+// enacted once through a merged plan — shared annotator/enrichment/QA
+// prefixes run once per window — and yields one WindowResult per member
+// view. A single-view stream (New) is a one-member plan; its results
+// carry no View attribution.
 type Enactor struct {
-	compiled *compiler.Compiled  // single-view mode (nil under NewMulti)
-	multi    *compiler.MultiView // multi-view mode (nil under New)
-	views    []streamView        // member views in emission order; len 1 under New
-	cfg      Config
+	plan  *compiler.MultiView
+	views []streamView // member views in emission order
+	cfg   Config
 }
 
 // streamView is one enacted view's identity and abstract plan — what the
@@ -350,32 +351,28 @@ func normalise(cfg Config) (Config, error) {
 }
 
 // New validates the configuration and prepares a streaming enactor for
-// the compiled view.
+// one compiled view: NewMulti over the view's one-member merged plan,
+// which carries the view's own name, so telemetry, drift registration
+// and provenance read exactly as for the view alone.
 func New(compiled *compiler.Compiled, cfg Config) (*Enactor, error) {
 	if compiled == nil {
 		return nil, fmt.Errorf("stream: nil compiled view")
 	}
-	cfg, err := normalise(cfg)
+	mv, err := compiler.MergeViews(compiled)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream: %w", err)
 	}
-	if cfg.ProcessorTimeout > 0 {
-		compiled.Workflow.SetProcessorTimeout(cfg.ProcessorTimeout)
-	}
-	return &Enactor{
-		compiled: compiled,
-		views:    []streamView{{name: compiled.Name(), plan: compiled.Plan()}},
-		cfg:      cfg,
-	}, nil
+	return NewMulti(mv, cfg)
 }
 
 // NewMulti prepares a streaming enactor over a merged view set: each
 // window is enacted ONCE through the merged plan and every member view's
 // decisions are emitted as its own WindowResult — same Seq, view order,
-// distinguished by the View field. Journal keys stay per (view, window
-// content), identical to the keys N independent single-view streams
-// would use, so cluster failover replays/commits each view's emission
-// independently.
+// distinguished by the View field when the plan has more than one
+// member. Journal keys stay per (view, window content), identical to the
+// keys N independent single-view streams would use, so cluster failover
+// replays/commits each view's emission independently. A positive
+// ProcessorTimeout applies to the merged plan's workflow only.
 func NewMulti(mv *compiler.MultiView, cfg Config) (*Enactor, error) {
 	if mv == nil {
 		return nil, fmt.Errorf("stream: nil merged view set")
@@ -387,25 +384,22 @@ func NewMulti(mv *compiler.MultiView, cfg Config) (*Enactor, error) {
 	if cfg.ProcessorTimeout > 0 {
 		mv.Workflow().SetProcessorTimeout(cfg.ProcessorTimeout)
 	}
-	e := &Enactor{multi: mv, cfg: cfg}
+	e := &Enactor{plan: mv, cfg: cfg}
 	for _, v := range mv.Views() {
 		e.views = append(e.views, streamView{name: v.Name(), plan: v.Plan()})
 	}
 	return e, nil
 }
 
-// name labels the stream's telemetry: the view name, or the merged plan
-// name under NewMulti.
-func (e *Enactor) name() string {
-	if e.multi != nil {
-		return e.multi.Name()
+// attribution is the WindowResult.View of a member view's results: the
+// view name when the plan has more than one member, empty otherwise — so
+// single-view output and journal payloads stay unattributed.
+func (e *Enactor) attribution(sv streamView) string {
+	if len(e.views) > 1 {
+		return sv.name
 	}
-	return e.compiled.Name()
+	return ""
 }
-
-// Plan returns the abstract plan of the enacted view (the first member's
-// plan for a multi-view enactor; see Plans).
-func (e *Enactor) Plan() compiler.Plan { return e.views[0].plan }
 
 // Plans returns every enacted view's abstract plan in emission order.
 func (e *Enactor) Plans() []compiler.Plan {
@@ -426,7 +420,7 @@ func (e *Enactor) Config() Config { return e.cfg }
 // the context's error.
 func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResult) (err error) {
 	defer close(out)
-	view := e.name()
+	view := e.plan.Name()
 	// One root span covers the whole stream, so every window enactment
 	// below joins a single trace.
 	ctx, streamSpan := telemetry.StartSpan(ctx, "stream:"+view)
@@ -447,7 +441,7 @@ func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResu
 	defer cancel()
 
 	jobs := make(chan windowJob, e.cfg.Parallelism)
-	// Each job resolves to one result per enacted view (len 1 for a
+	// Each job resolves to one result per member view (len 1 for a
 	// single-view stream), reordered and emitted as a unit so a window's
 	// per-view results are adjacent on out.
 	results := make(chan []WindowResult, e.cfg.Parallelism)
@@ -517,7 +511,7 @@ func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResu
 	}()
 
 	// Stage 2: worker pool. Each worker enacts whole windows through the
-	// compiled workflow; annotator and QA invocations of distinct windows
+	// merged plan; annotator and QA invocations of distinct windows
 	// therefore run fanned out across the pool, and within one window the
 	// workflow engine already runs independent processors concurrently.
 	var workerWG sync.WaitGroup
@@ -548,10 +542,7 @@ func (e *Enactor) Run(ctx context.Context, in <-chan Item, out chan<- WindowResu
 							res.Seq = j.seq
 							res.Replayed = true
 							res.firedAt = j.firedAt
-							res.View = ""
-							if e.multi != nil {
-								res.View = sv.name
-							}
+							res.View = e.attribution(sv)
 							cached[i] = &res
 							hits++
 						}
@@ -704,8 +695,8 @@ func (j *windowJob) decided() []evidence.Item {
 	return j.items[j.decideFrom:]
 }
 
-// enactBatch runs one window through the compiled plan — once — and
-// derives one WindowResult per enacted view, in view order. A member
+// enactBatch runs one window through the merged plan — once — and
+// derives one WindowResult per member view, in view order. A member
 // view's own failure (its quality service died and its degraded mode is
 // off) fails the whole window unless SkipFailedWindows is set, in which
 // case that view's result is marked Failed while its siblings' decisions
@@ -716,28 +707,12 @@ func (e *Enactor) enactBatch(ctx context.Context, j windowJob) (_ []WindowResult
 	span.SetAttr("size", fmt.Sprint(len(j.items)))
 	defer func() { span.EndErr(err) }()
 
-	if e.multi == nil {
-		ports, err := e.compiled.Execute(ctx, workflow.Ports{compiler.PortDataSet: j.m})
-		if err != nil {
-			return nil, fmt.Errorf("stream: window %d: %w", j.seq, err)
-		}
-		outputs := make(map[string]*evidence.Map, len(ports))
-		for name, v := range ports {
-			m, ok := v.(*evidence.Map)
-			if !ok {
-				return nil, fmt.Errorf("stream: window %d: output %q is %T, not *evidence.Map", j.seq, name, v)
-			}
-			outputs[name] = m
-		}
-		return []WindowResult{deriveResult(e.views[0], outputs, j, j.stats)}, nil
-	}
-
-	res, eerr := e.multi.EnactMap(ctx, j.m)
+	res, eerr := e.plan.EnactMap(ctx, j.m)
 	if eerr != nil {
 		return nil, fmt.Errorf("stream: window %d: %w", j.seq, eerr)
 	}
 	batch := make([]WindowResult, 0, len(e.views))
-	for _, sv := range e.views {
+	for i, sv := range e.views {
 		vr := res[sv.name]
 		if vr.Err != nil {
 			if !e.cfg.SkipFailedWindows {
@@ -746,10 +721,15 @@ func (e *Enactor) enactBatch(ctx context.Context, j windowJob) (_ []WindowResult
 			batch = append(batch, e.failedResult(sv, j, vr.Err))
 			continue
 		}
-		// Each view derives its stats into its own copy: the windower's
-		// inline-evidence statistics are per window, not per view.
-		res := deriveResult(sv, vr.Outputs, j, copyStats(j.stats))
-		res.View = sv.name // single-view windows stay unattributed, as before
+		// Each view derives its tag stats into its own map: the windower's
+		// inline-evidence statistics are per window, not per view, so all
+		// but the last member start from a copy.
+		stats := j.stats
+		if i < len(e.views)-1 {
+			stats = maps.Clone(stats)
+		}
+		res := deriveResult(sv, vr.Outputs, j, stats)
+		res.View = e.attribution(sv)
 		batch = append(batch, res)
 	}
 	return batch, nil
@@ -762,6 +742,7 @@ func (e *Enactor) failedResult(sv streamView, j windowJob, err error) WindowResu
 		Seq:       j.seq,
 		Size:      len(j.items),
 		Partial:   j.partial,
+		View:      e.attribution(sv),
 		Failed:    true,
 		Error:     err.Error(),
 		Kind:      j.kind,
@@ -772,23 +753,7 @@ func (e *Enactor) failedResult(sv streamView, j windowJob, err error) WindowResu
 	if j.kind != "" {
 		res.Start, res.End = j.start.UnixMilli(), j.end.UnixMilli()
 	}
-	if e.multi != nil {
-		res.View = sv.name // single-view failed windows stay unattributed, as before
-	}
 	return res
-}
-
-// copyStats clones the windower's inline-evidence statistics so sibling
-// views' tag statistics never land in one shared map.
-func copyStats(stats map[string]WindowStats) map[string]WindowStats {
-	if stats == nil {
-		return nil
-	}
-	out := make(map[string]WindowStats, len(stats))
-	for k, v := range stats {
-		out[k] = v
-	}
-	return out
 }
 
 // deriveResult projects one view's outputs of an enacted window into its

@@ -380,8 +380,21 @@ func TestConfigValidation(t *testing.T) {
 	if got := e.Config(); got.Parallelism != 1 || got.Slide != 4 {
 		t.Errorf("normalised config = %+v", got)
 	}
-	if p := e.Plan(); len(p.QAs) != 3 {
+	if p := e.Plans()[0]; len(p.QAs) != 3 {
 		t.Errorf("plan = %+v", p)
+	}
+}
+
+// TestProcessorTimeoutStaysOnStreamPlan: Config.ProcessorTimeout bounds
+// the stream's own plan and leaves the caller's compiled workflow — which
+// batch enactments may share — untouched.
+func TestProcessorTimeoutStaysOnStreamPlan(t *testing.T) {
+	c := compilePaperView(t)
+	if _, err := stream.New(c, stream.Config{Window: 4, ProcessorTimeout: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Workflow.ProcessorTimeout(); got != 0 {
+		t.Errorf("compiled workflow timeout = %v after stream.New, want 0", got)
 	}
 }
 

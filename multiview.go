@@ -1,7 +1,6 @@
 package qurator
 
 import (
-	"context"
 	"fmt"
 
 	"qurator/internal/compiler"
@@ -40,45 +39,4 @@ func (f *Framework) CompileViewSet(viewXMLs ...[]byte) (*MultiView, error) {
 		views = append(views, c)
 	}
 	return compiler.MergeViews(views...)
-}
-
-// ExecuteViewSet compiles, merges and enacts a view set over a data set
-// in one call, clearing per-run caches first. The result is keyed by
-// view name, then by output name ("<action>:<port>"), exactly as if each
-// view had been executed independently. Any single view's failure fails
-// the call; use CompileViewSet + MultiView.Enact to observe per-view
-// errors.
-func (f *Framework) ExecuteViewSet(ctx context.Context, viewXMLs [][]byte, items []Item) (map[string]map[string]*Map, error) {
-	mv, err := f.CompileViewSet(viewXMLs...)
-	if err != nil {
-		return nil, err
-	}
-	f.Repositories.ClearCaches()
-	res, err := mv.Enact(ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]*Map, len(res))
-	for name, vr := range res {
-		if vr.Err != nil {
-			return nil, vr.Err
-		}
-		out[name] = vr.Outputs
-	}
-	return out, nil
-}
-
-// ExecuteSharedViewSet enacts published library views by name as one
-// merged plan — the library is exactly where shared structure
-// accumulates (paper §7: views are reusable quality knowledge).
-func (f *Framework) ExecuteSharedViewSet(ctx context.Context, names []string, items []Item) (map[string]map[string]*Map, error) {
-	xmls := make([][]byte, 0, len(names))
-	for _, name := range names {
-		entry, ok := f.Library.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("qurator: no published view %q", name)
-		}
-		xmls = append(xmls, []byte(entry.ViewXML))
-	}
-	return f.ExecuteViewSet(ctx, xmls, items)
 }

@@ -209,14 +209,49 @@ func (f *Framework) Repository(name string) (Store, bool) {
 // CompileView parses, validates and compiles a quality-view XML document
 // into an executable quality workflow.
 func (f *Framework) CompileView(viewXML []byte) (*Compiled, error) {
+	resolved, err := f.resolveView(viewXML)
+	if err != nil {
+		return nil, err
+	}
+	return f.compileResolved(resolved)
+}
+
+// CompileViewForStream compiles a view for streaming enactment
+// (internal/stream): annotator classes with no bound service are stubbed
+// with no-op annotators before compilation, since streamed items
+// typically carry their evidence inline or find it already stored in a
+// repository. Annotators that ARE deployed keep their bindings — each
+// window invokes them as in batch enactment.
+func (f *Framework) CompileViewForStream(viewXML []byte) (*Compiled, error) {
+	resolved, err := f.resolveView(viewXML)
+	if err != nil {
+		return nil, err
+	}
+	for _, ann := range resolved.Annotators {
+		if _, err := f.Bindings.ResolveService(ann.Type); err == nil {
+			continue
+		}
+		if err := f.DeployAnnotator("stream-stub:"+ann.Decl.ServiceName,
+			ops.AnnotatorFunc{ClassIRI: ann.Type}); err != nil {
+			return nil, err
+		}
+	}
+	return f.compileResolved(resolved)
+}
+
+// resolveView parses a view XML document and resolves it against the
+// framework's IQ model.
+func (f *Framework) resolveView(viewXML []byte) (*qvlang.Resolved, error) {
 	view, err := qvlang.Parse(viewXML)
 	if err != nil {
 		return nil, err
 	}
-	resolved, err := qvlang.Resolve(view, f.Model)
-	if err != nil {
-		return nil, err
-	}
+	return qvlang.Resolve(view, f.Model)
+}
+
+// compileResolved compiles a resolved view with the framework's bindings,
+// resilience and data-plane settings, and attaches its provenance log.
+func (f *Framework) compileResolved(resolved *qvlang.Resolved) (*Compiled, error) {
 	c := &compiler.Compiler{
 		Bindings:     f.Bindings,
 		Resolver:     &binding.Resolver{Local: f.Services},
@@ -239,33 +274,6 @@ func (f *Framework) CompileView(viewXML []byte) (*Compiled, error) {
 	}
 	compiled.Provenance = f.Provenance
 	return compiled, nil
-}
-
-// CompileViewForStream compiles a view for streaming enactment
-// (internal/stream): annotator classes with no bound service are stubbed
-// with no-op annotators before compilation, since streamed items
-// typically carry their evidence inline or find it already stored in a
-// repository. Annotators that ARE deployed keep their bindings — each
-// window invokes them as in batch enactment.
-func (f *Framework) CompileViewForStream(viewXML []byte) (*Compiled, error) {
-	view, err := qvlang.Parse(viewXML)
-	if err != nil {
-		return nil, err
-	}
-	resolved, err := qvlang.Resolve(view, f.Model)
-	if err != nil {
-		return nil, err
-	}
-	for _, ann := range resolved.Annotators {
-		if _, err := f.Bindings.ResolveService(ann.Type); err == nil {
-			continue
-		}
-		if err := f.DeployAnnotator("stream-stub:"+ann.Decl.ServiceName,
-			ops.AnnotatorFunc{ClassIRI: ann.Type}); err != nil {
-			return nil, err
-		}
-	}
-	return f.CompileView(viewXML)
 }
 
 // ExecuteView compiles and runs a view over a data set in one call,
