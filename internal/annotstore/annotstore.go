@@ -150,7 +150,11 @@ func (r *Repository) Put(a Annotation) error {
 	node := evidenceNode(a.Item, a.Type)
 	at := nowUTC()
 	// Overwrite any previous value/source statements for this node.
-	dels := r.graph.Match(node, rdf.Term{}, rdf.Term{})
+	var dels []rdf.Triple
+	r.graph.ForEachMatch(node, rdf.Term{}, rdf.Term{}, func(t rdf.Triple) bool {
+		dels = append(dels, t)
+		return true
+	})
 	typeIRI := rdf.IRI(rdf.RDFType)
 	adds := []rdf.Triple{
 		rdf.T(a.Item, ontology.ContainsEvidence, node),
@@ -259,7 +263,7 @@ func (r *Repository) TypesOf(item evidence.Item) []rdf.Term {
 func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.graph.Count(rdf.Term{}, ontology.ContainsEvidence, rdf.Term{})
+	return r.graph.Cardinality(rdf.Term{}, ontology.ContainsEvidence, rdf.Term{})
 }
 
 // Clear removes every annotation; used between runs on cache repositories.

@@ -185,10 +185,10 @@ func (l *Log) RecordSupersession(newKey, oldKey string) error {
 	defer l.mu.Unlock()
 	subj := rdf.IRI(ontology.QuratorNS + "emission/" + newKey)
 	obj := rdf.IRI(ontology.QuratorNS + "emission/" + oldKey)
-	if len(l.graph.Match(subj, propSupersedes, obj)) > 0 {
+	t := rdf.T(subj, propSupersedes, obj)
+	if l.graph.Has(t) {
 		return nil
 	}
-	t := rdf.T(subj, propSupersedes, obj)
 	if l.store != nil {
 		if _, err := l.store.AddBatch([]rdf.Triple{t}); err != nil {
 			return err

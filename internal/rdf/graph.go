@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -39,6 +40,13 @@ func (t Triple) Validate() error {
 // for efficient pattern matching, per-position cardinality statistics for
 // query planning, and O(1) copy-on-write snapshots (Snapshot, Clone). All
 // methods are safe for concurrent use.
+//
+// Each index is a root map from a term to a two-level node. A node with
+// at most eight entries is an inline slice scanned linearly, a larger one
+// is a map, and every root node counts the triples under it, which gives
+// the single-position cardinalities. The first write after a Snapshot or
+// Clone copies the three root maps, O(distinct terms); after that a write
+// copies only the shared nodes on its own path.
 //
 // The zero value is not ready to use; call NewGraph.
 type Graph struct {
@@ -87,12 +95,9 @@ func (g *Graph) prepWrite() {
 	}
 	g.gen++
 	g.sealed = false
-	g.v.spo = forkRoot(g.v.spo)
-	g.v.pos = forkRoot(g.v.pos)
-	g.v.osp = forkRoot(g.v.osp)
-	g.v.subjN = forkCounts(g.v.subjN)
-	g.v.predN = forkCounts(g.v.predN)
-	g.v.objN = forkCounts(g.v.objN)
+	g.v.spo = maps.Clone(g.v.spo)
+	g.v.pos = maps.Clone(g.v.pos)
+	g.v.osp = maps.Clone(g.v.osp)
 }
 
 // Add inserts a triple. It returns true if the triple was not already
@@ -113,9 +118,6 @@ func (g *Graph) addLocked(t Triple) bool {
 	}
 	addIdx(g.v.pos, g.gen, t.Predicate, t.Object, t.Subject)
 	addIdx(g.v.osp, g.gen, t.Object, t.Subject, t.Predicate)
-	g.v.subjN[t.Subject]++
-	g.v.predN[t.Predicate]++
-	g.v.objN[t.Object]++
 	g.v.n++
 	return true
 }
@@ -158,9 +160,6 @@ func (g *Graph) Remove(t Triple) bool {
 	}
 	delIdx(g.v.pos, g.gen, t.Predicate, t.Object, t.Subject)
 	delIdx(g.v.osp, g.gen, t.Object, t.Subject, t.Predicate)
-	decCount(g.v.subjN, t.Subject)
-	decCount(g.v.predN, t.Predicate)
-	decCount(g.v.objN, t.Object)
 	g.v.n--
 	return true
 }
@@ -276,119 +275,6 @@ func (g *Graph) Clone() *Graph {
 	defer g.mu.Unlock()
 	g.sealed = true
 	return &Graph{v: g.v, gen: g.gen, sealed: true}
-}
-
-// ---- generation-tagged copy-on-write index nodes ----
-
-// midMap is the middle level of one index rotation (e.g. predicate →
-// object set under a subject). leafSet is the innermost term set. Both
-// carry the write generation that owns them: a node whose gen differs
-// from the graph's current gen is shared with a snapshot and is forked
-// before mutation.
-type midMap struct {
-	gen uint64
-	m   map[Term]*leafSet
-}
-
-type leafSet struct {
-	gen uint64
-	m   map[Term]struct{}
-}
-
-func (n *midMap) fork(gen uint64) *midMap {
-	m := make(map[Term]*leafSet, len(n.m))
-	for k, v := range n.m {
-		m[k] = v
-	}
-	return &midMap{gen: gen, m: m}
-}
-
-func (n *leafSet) fork(gen uint64) *leafSet {
-	m := make(map[Term]struct{}, len(n.m))
-	for k := range n.m {
-		m[k] = struct{}{}
-	}
-	return &leafSet{gen: gen, m: m}
-}
-
-func forkRoot(root map[Term]*midMap) map[Term]*midMap {
-	out := make(map[Term]*midMap, len(root))
-	for k, v := range root {
-		out[k] = v
-	}
-	return out
-}
-
-func forkCounts(c map[Term]int) map[Term]int {
-	out := make(map[Term]int, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
-func addIdx(root map[Term]*midMap, gen uint64, a, b, c Term) bool {
-	mid, ok := root[a]
-	switch {
-	case !ok:
-		mid = &midMap{gen: gen, m: make(map[Term]*leafSet, 1)}
-		root[a] = mid
-	case mid.gen != gen:
-		mid = mid.fork(gen)
-		root[a] = mid
-	}
-	leaf, ok := mid.m[b]
-	switch {
-	case !ok:
-		leaf = &leafSet{gen: gen, m: make(map[Term]struct{}, 1)}
-		mid.m[b] = leaf
-	case leaf.gen != gen:
-		leaf = leaf.fork(gen)
-		mid.m[b] = leaf
-	}
-	if _, ok := leaf.m[c]; ok {
-		return false
-	}
-	leaf.m[c] = struct{}{}
-	return true
-}
-
-func delIdx(root map[Term]*midMap, gen uint64, a, b, c Term) bool {
-	mid, ok := root[a]
-	if !ok {
-		return false
-	}
-	leaf, ok := mid.m[b]
-	if !ok {
-		return false
-	}
-	if _, ok := leaf.m[c]; !ok {
-		return false
-	}
-	if mid.gen != gen {
-		mid = mid.fork(gen)
-		root[a] = mid
-	}
-	if leaf = mid.m[b]; leaf.gen != gen {
-		leaf = leaf.fork(gen)
-		mid.m[b] = leaf
-	}
-	delete(leaf.m, c)
-	if len(leaf.m) == 0 {
-		delete(mid.m, b)
-		if len(mid.m) == 0 {
-			delete(root, a)
-		}
-	}
-	return true
-}
-
-func decCount(c map[Term]int, t Term) {
-	if c[t] <= 1 {
-		delete(c, t)
-	} else {
-		c[t]--
-	}
 }
 
 func termLess(a, b Term) bool {

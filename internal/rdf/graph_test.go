@@ -316,6 +316,19 @@ func BenchmarkGraphAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphAddAfterSnapshot measures the first write after a
+// snapshot on a 100k-triple graph: the root fork plus the copy of every
+// node on the written path.
+func BenchmarkGraphAddAfterSnapshot(b *testing.B) {
+	g := buildSnapGraph(b, 100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Snapshot()
+		g.Add(snapTriple(100000 + i))
+	}
+}
+
 func BenchmarkGraphMatchBySubject(b *testing.B) {
 	g := NewGraph()
 	for i := 0; i < 10000; i++ {

@@ -28,31 +28,25 @@ type DatasetStats struct {
 	Objects    int
 }
 
-// view is one version of the graph's indexes and statistics. The Graph
-// wraps its current view behind a lock; a Snapshot freezes one version,
-// after which no writer ever mutates its nodes (copy-on-write).
+// view is one version of the graph's indexes. The Graph wraps its
+// current view behind a lock; a Snapshot freezes one version, after which
+// no writer ever mutates its nodes (copy-on-write).
 type view struct {
 	// spo indexes subject → predicate → object set; pos and osp are the
-	// rotations used to answer patterns with unbound subjects.
+	// rotations used to answer patterns with unbound subjects. Each root
+	// entry's midMap counts the triples under it, so the per-position
+	// cardinality statistics are the root sizes and node counts.
 	spo map[Term]*midMap
 	pos map[Term]*midMap
 	osp map[Term]*midMap
-	// subjN/predN/objN count the triples carrying each term in the
-	// corresponding position — the O(1) cardinality statistics.
-	subjN map[Term]int
-	predN map[Term]int
-	objN  map[Term]int
-	n     int
+	n   int
 }
 
 func newView() view {
 	return view{
-		spo:   make(map[Term]*midMap),
-		pos:   make(map[Term]*midMap),
-		osp:   make(map[Term]*midMap),
-		subjN: make(map[Term]int),
-		predN: make(map[Term]int),
-		objN:  make(map[Term]int),
+		spo: make(map[Term]*midMap),
+		pos: make(map[Term]*midMap),
+		osp: make(map[Term]*midMap),
 	}
 }
 
@@ -122,13 +116,7 @@ func (s *Snapshot) Triples() []Triple { return s.v.match(Term{}, Term{}, Term{})
 // ---- shared read algorithms ----
 
 func (v *view) has(t Triple) bool {
-	if mid, ok := v.spo[t.Subject]; ok {
-		if leaf, ok := mid.m[t.Predicate]; ok {
-			_, ok := leaf.m[t.Object]
-			return ok
-		}
-	}
-	return false
+	return v.spo[t.Subject].get(t.Predicate).has(t.Object)
 }
 
 func (v *view) forEachMatch(s, p, o Term, fn func(Triple) bool) {
@@ -138,73 +126,29 @@ func (v *view) forEachMatch(s, p, o Term, fn func(Triple) bool) {
 			fn(T(s, p, o))
 		}
 	case !s.IsZero() && !p.IsZero():
-		if mid, ok := v.spo[s]; ok {
-			if leaf, ok := mid.m[p]; ok {
-				for obj := range leaf.m {
-					if !fn(T(s, p, obj)) {
-						return
-					}
-				}
-			}
-		}
+		v.spo[s].get(p).each(func(obj Term, _ struct{}) bool { return fn(T(s, p, obj)) })
 	case !s.IsZero() && !o.IsZero():
-		if mid, ok := v.osp[o]; ok {
-			if leaf, ok := mid.m[s]; ok {
-				for pred := range leaf.m {
-					if !fn(T(s, pred, o)) {
-						return
-					}
-				}
-			}
-		}
+		v.osp[o].get(s).each(func(pred Term, _ struct{}) bool { return fn(T(s, pred, o)) })
 	case !p.IsZero() && !o.IsZero():
-		if mid, ok := v.pos[p]; ok {
-			if leaf, ok := mid.m[o]; ok {
-				for subj := range leaf.m {
-					if !fn(T(subj, p, o)) {
-						return
-					}
-				}
-			}
-		}
+		v.pos[p].get(o).each(func(subj Term, _ struct{}) bool { return fn(T(subj, p, o)) })
 	case !s.IsZero():
-		if mid, ok := v.spo[s]; ok {
-			for pred, leaf := range mid.m {
-				for obj := range leaf.m {
-					if !fn(T(s, pred, obj)) {
-						return
-					}
-				}
-			}
-		}
+		v.spo[s].each(func(pred Term, leaf *leafSet) bool {
+			return leaf.each(func(obj Term, _ struct{}) bool { return fn(T(s, pred, obj)) })
+		})
 	case !p.IsZero():
-		if mid, ok := v.pos[p]; ok {
-			for obj, leaf := range mid.m {
-				for subj := range leaf.m {
-					if !fn(T(subj, p, obj)) {
-						return
-					}
-				}
-			}
-		}
+		v.pos[p].each(func(obj Term, leaf *leafSet) bool {
+			return leaf.each(func(subj Term, _ struct{}) bool { return fn(T(subj, p, obj)) })
+		})
 	case !o.IsZero():
-		if mid, ok := v.osp[o]; ok {
-			for subj, leaf := range mid.m {
-				for pred := range leaf.m {
-					if !fn(T(subj, pred, o)) {
-						return
-					}
-				}
-			}
-		}
+		v.osp[o].each(func(subj Term, leaf *leafSet) bool {
+			return leaf.each(func(pred Term, _ struct{}) bool { return fn(T(subj, pred, o)) })
+		})
 	default:
 		for subj, mid := range v.spo {
-			for pred, leaf := range mid.m {
-				for obj := range leaf.m {
-					if !fn(T(subj, pred, obj)) {
-						return
-					}
-				}
+			if !mid.each(func(pred Term, leaf *leafSet) bool {
+				return leaf.each(func(obj Term, _ struct{}) bool { return fn(T(subj, pred, obj)) })
+			}) {
+				return
 			}
 		}
 	}
@@ -228,32 +172,17 @@ func (v *view) cardinality(s, p, o Term) int {
 		}
 		return 0
 	case !s.IsZero() && !p.IsZero():
-		if mid, ok := v.spo[s]; ok {
-			if leaf, ok := mid.m[p]; ok {
-				return len(leaf.m)
-			}
-		}
-		return 0
+		return v.spo[s].get(p).len()
 	case !p.IsZero() && !o.IsZero():
-		if mid, ok := v.pos[p]; ok {
-			if leaf, ok := mid.m[o]; ok {
-				return len(leaf.m)
-			}
-		}
-		return 0
+		return v.pos[p].get(o).len()
 	case !s.IsZero() && !o.IsZero():
-		if mid, ok := v.osp[o]; ok {
-			if leaf, ok := mid.m[s]; ok {
-				return len(leaf.m)
-			}
-		}
-		return 0
+		return v.osp[o].get(s).len()
 	case !s.IsZero():
-		return v.subjN[s]
+		return v.spo[s].count()
 	case !p.IsZero():
-		return v.predN[p]
+		return v.pos[p].count()
 	case !o.IsZero():
-		return v.objN[o]
+		return v.osp[o].count()
 	default:
 		return v.n
 	}
@@ -262,9 +191,9 @@ func (v *view) cardinality(s, p, o Term) int {
 func (v *view) stats() DatasetStats {
 	return DatasetStats{
 		Triples:    v.n,
-		Subjects:   len(v.subjN),
-		Predicates: len(v.predN),
-		Objects:    len(v.objN),
+		Subjects:   len(v.spo),
+		Predicates: len(v.pos),
+		Objects:    len(v.osp),
 	}
 }
 

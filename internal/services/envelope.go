@@ -185,9 +185,11 @@ func decodeMap(ds DataSet, am AnnotationMapXML) (*evidence.Map, error) {
 	return m, nil
 }
 
+// encodeValue renders a value for the wire. Term values are written in
+// N-Triples form so that kind, datatype and language survive the hop.
 func encodeValue(v evidence.Value) string {
 	if t, ok := v.AsTerm(); ok {
-		return t.Value()
+		return t.String()
 	}
 	return v.AsString()
 }
@@ -218,7 +220,13 @@ func decodeValue(kind, raw string) (evidence.Value, error) {
 		}
 		return evidence.Null, fmt.Errorf("bad bool %q", raw)
 	case "term":
-		return evidence.TermValue(rdf.IRI(raw)), nil
+		// A raw value not in N-Triples form is a bare IRI, as written
+		// by envelopes that predate the N-Triples encoding.
+		t, err := rdf.ParseTerm(raw)
+		if err != nil {
+			t = rdf.IRI(raw)
+		}
+		return evidence.TermValue(t), nil
 	default:
 		return evidence.Null, fmt.Errorf("unknown value kind %q", kind)
 	}

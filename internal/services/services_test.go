@@ -65,6 +65,55 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// Term values keep their kind, datatype and language across the wire:
+// each is encoded in N-Triples form, not as a bare IRI string.
+func TestEnvelopeTermKindRoundTrip(t *testing.T) {
+	terms := []rdf.Term{
+		rdf.IRI("urn:label:high"),
+		rdf.Blank("b1"),
+		rdf.Literal("hello"),
+		rdf.TypedLiteral("42", rdf.XSDInteger),
+		rdf.LangLiteral("bonjour", "fr"),
+	}
+	m := evidence.NewMap(item(0))
+	key := func(i int) rdf.Term { return ontology.Q(fmt.Sprintf("term%d", i)) }
+	for i, tm := range terms {
+		m.Set(item(0), key(i), evidence.TermValue(tm))
+	}
+	data, err := NewEnvelope(m).Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	back, err := UnmarshalEnvelope(data)
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	m2, err := back.Map()
+	if err != nil {
+		t.Fatalf("Map: %v", err)
+	}
+	for i, want := range terms {
+		got, ok := m2.Get(item(0), key(i)).AsTerm()
+		if !ok || got != want {
+			t.Errorf("term %d: got %v (term=%v), want %v", i, got, ok, want)
+		}
+	}
+}
+
+func TestEnvelopeDecodesBareIRITerm(t *testing.T) {
+	env := &Envelope{
+		DataSet:     DataSet{Items: []ItemRef{{URI: "urn:x"}}},
+		Annotations: AnnotationMapXML{Entries: []Entry{{Item: "urn:x", Key: "urn:k", Kind: "term", Value: "urn:label:high"}}},
+	}
+	m, err := env.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := m.Get(rdf.IRI("urn:x"), rdf.IRI("urn:k")).AsTerm(); got != rdf.IRI("urn:label:high") {
+		t.Errorf("bare term value decoded as %v, want <urn:label:high>", got)
+	}
+}
+
 func TestEnvelopePreservesItemsWithoutEvidence(t *testing.T) {
 	m := evidence.NewMap(item(0), item(1))
 	m.Set(item(0), ontology.HitRatio, evidence.Float(0.5))
